@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "esim/mosfet_model.hpp"
 #include "esim/sparse.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
@@ -21,12 +22,6 @@
 namespace sks::esim {
 
 namespace {
-
-// Mirrors mosfet_model.cpp's kGoff; the batch kernel re-derives the level-1
-// equations branchlessly, and cutoff/triode round bit-identically to the
-// scalar model (saturation differs by ~1 ulp from association order).
-constexpr double kGoff = 1e-12;
-constexpr double kMosFdStep = 1e-6;  // central-difference h, as eval_mosfet
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -147,11 +142,9 @@ struct BatchSimulator::Impl {
   std::vector<double> maxdv, damp;
   std::vector<std::uint8_t> lu_ok;
 
-  // MOSFET kernel scratch (K each).  sc_* cache the drain/source-only
-  // geometry of the current device so the base and gate-shift sweeps skip
-  // recomputing it.
+  // Per-device scratch (K each): MOSFET current and partials, and the
+  // branch current of the two-terminal element being stamped.
   std::vector<double> id0, gm, gds, cur, tap_buf;
-  std::vector<double> sc_flow, sc_lo, sc_vds, sc_leak, sc_clm, sc_iopen;
   // Source values cached at arm time (source * K + lane): waveforms only
   // depend on the lane's attempt time, which is fixed across a step's
   // Newton rounds, so assemble_round reads these instead of calling
@@ -212,7 +205,6 @@ struct BatchSimulator::Impl {
   void refresh_template(std::size_t L, double gmin, double capmult, double h);
   void refresh_sources(std::size_t L);
   void assemble_round();
-  void mos_eval_device(std::size_t mi);
   void freeze_pivots();
   void newton_round();
   void newton_converged(std::size_t L);
@@ -415,12 +407,6 @@ void BatchSimulator::Impl::build_structure() {
   gds.assign(K, 0.0);
   cur.assign(K, 0.0);
   tap_buf.assign(n_voltage, 0.0);
-  sc_flow.assign(K, 0.0);
-  sc_lo.assign(K, 0.0);
-  sc_vds.assign(K, 0.0);
-  sc_leak.assign(K, 0.0);
-  sc_clm.assign(K, 0.0);
-  sc_iopen.assign(K, 0.0);
   tpl_gmin.assign(K, 0.0);
   tpl_capmult.assign(K, 0.0);
   tpl_h.assign(K, 0.0);
@@ -443,8 +429,8 @@ std::size_t BatchSimulator::Impl::soa_bytes() const {
         &mp_on, &mp_open, &base_vals, &tpl_vals, &soa_vals, &tpl_gmin,
         &tpl_capmult, &tpl_h, &x, &x_saved, &f, &rhs, &dx, &cap_v, &cap_i,
         &zeros, &lane_gmin, &lane_h, &lane_capmult, &lane_trapmask, &lane_t,
-        &maxdv, &damp, &id0, &gm, &gds, &cur, &tap_buf, &sc_flow, &sc_lo,
-        &sc_vds, &sc_leak, &sc_clm, &sc_iopen, &isrc_val, &vsrc_val}) {
+        &maxdv, &damp, &id0, &gm, &gds, &cur, &tap_buf, &isrc_val,
+        &vsrc_val}) {
     total += bytes(*v);
   }
   total += bytes(mos_touched_slots) + bytes(tpl_valid) + bytes(lu_ok);
@@ -493,138 +479,6 @@ void BatchSimulator::Impl::refresh_template(std::size_t L, double gmin,
   // must track the template from here (once per step, not per round).
   for (std::size_t s = 0; s < nvals; ++s) {
     soa_vals[s * K + L] = tpl_vals[s * K + L];
-  }
-}
-
-// Branchless SoA level-1 MOSFET current + central-difference derivatives
-// for device mi at the current x.  Matches mosfet_current()'s algebra:
-// PMOS sign fold, symmetric drain/source swap via max/min, stuck-on gate
-// override, stuck-open leakage-only select.  Cutoff and triode round
-// bit-identically to the scalar model; saturation regroups
-// 0.5*beta*vov^2*clm as beta*(vov*vov - 0.5*vov*vov)*clm (~1 ulp).
-void BatchSimulator::Impl::mos_eval_device(std::size_t mi) {
-  const double* vg = node_ptr(mos_nodes[mi].g);
-  const double* vd = node_ptr(mos_nodes[mi].d);
-  const double* vs = node_ptr(mos_nodes[mi].s);
-  const double* sign = mp_sign.data() + mi * K;
-  const double* beta = mp_beta.data() + mi * K;
-  const double* vt = mp_vt.data() + mi * K;
-  const double* lambda = mp_lambda.data() + mi * K;
-  const double* fullon = mp_fullon.data() + mi * K;
-  const double* on = mp_on.data() + mi * K;
-  const double* open = mp_open.data() + mi * K;
-
-  // Branch-free so the lane loop vectorizes (ternary selects defeat GCC's
-  // if-conversion here): hi/lo swap via max/min, flow via copysign, and the
-  // fault overrides as exact mask arithmetic — on[]/open[] are exactly 0.0
-  // or 1.0, so `m*a + (1-m)*b` selects bit-identically to the ternary.
-  //
-  // The five evaluations (base + four finite-difference shifts) are split
-  // so nothing drain/source-dependent is recomputed for the gate shifts:
-  // one geometry sweep caches flow/lo/vds/leak/clm/i_open (they only
-  // depend on d and s), three cheap gate-part sweeps reuse them for the
-  // base current and both gate shifts, and only the two drain shifts run
-  // the full kernel.  Each sweep stays a small flat lane loop — GCC
-  // refuses to vectorize the fully fused variant ("no vectype") — and
-  // every variant's expression sequence matches the former standalone
-  // kernel, so the results are bit-identical (up to the sign of zero for
-  // the base gate offset of +0.0, which compares equal).
-  {
-    double* __restrict w_flow = sc_flow.data();
-    double* __restrict w_lo = sc_lo.data();
-    double* __restrict w_vds = sc_vds.data();
-    double* __restrict w_leak = sc_leak.data();
-    double* __restrict w_clm = sc_clm.data();
-    double* __restrict w_iopen = sc_iopen.data();
-    for (std::size_t L = 0; L < K; ++L) {
-      const double sg = sign[L];
-      const double vdn = sg * vd[L];
-      const double vsn = sg * vs[L];
-      w_flow[L] = std::copysign(1.0, vdn - vsn);
-      const double hi = std::max(vdn, vsn);
-      const double lo = std::min(vdn, vsn);
-      w_lo[L] = lo;
-      const double vds = hi - lo;
-      w_vds[L] = vds;
-      w_leak[L] = kGoff * vds;
-      w_clm[L] = 1.0 + lambda[L] * vds;
-      w_iopen[L] = kGoff * (vd[L] - vs[L]);
-    }
-  }
-
-  // Gate-part sweep: current for gate voltage vg[L] + off with the cached
-  // geometry.  off == 0.0 is the base evaluation (x + 0.0 == x except for
-  // the sign of a zero, which is value-equal).
-  const auto gate_eval = [&](double off, double* __restrict out) {
-    const double* __restrict r_flow = sc_flow.data();
-    const double* __restrict r_lo = sc_lo.data();
-    const double* __restrict r_vds = sc_vds.data();
-    const double* __restrict r_leak = sc_leak.data();
-    const double* __restrict r_clm = sc_clm.data();
-    const double* __restrict r_iopen = sc_iopen.data();
-    for (std::size_t L = 0; L < K; ++L) {
-      const double sg = sign[L];
-      const double vgn = sg * (vg[L] + off);
-      const double onm = on[L];
-      const double vgs = onm * fullon[L] + (1.0 - onm) * (vgn - r_lo[L]);
-      const double vov = vgs - vt[L];
-      const double vovp = std::max(vov, 0.0);
-      const double vdse = std::min(r_vds[L], vovp);
-      const double fwd =
-          beta[L] * (vovp * vdse - 0.5 * vdse * vdse) * r_clm[L] + r_leak[L];
-      const double i_chan = sg * r_flow[L] * fwd;
-      const double openm = open[L];
-      out[L] = openm * r_iopen[L] + (1.0 - openm) * i_chan;
-    }
-  };
-
-  // Full sweep for a drain shift of off: the geometry changes, so this is
-  // the original kernel with d[L] + off inlined where shift[] used to be.
-  const auto drain_eval = [&](double off, double* __restrict out) {
-    for (std::size_t L = 0; L < K; ++L) {
-      const double sg = sign[L];
-      const double draw = vd[L] + off;
-      const double vgn = sg * vg[L];
-      const double vdn = sg * draw;
-      const double vsn = sg * vs[L];
-      const double flow = std::copysign(1.0, vdn - vsn);
-      const double hi = std::max(vdn, vsn);
-      const double lo = std::min(vdn, vsn);
-      const double onm = on[L];
-      const double vgs = onm * fullon[L] + (1.0 - onm) * (vgn - lo);
-      const double vds = hi - lo;
-      const double leak = kGoff * vds;
-      const double vov = vgs - vt[L];
-      const double vovp = std::max(vov, 0.0);
-      const double vdse = std::min(vds, vovp);
-      const double clm = 1.0 + lambda[L] * vds;
-      const double fwd =
-          beta[L] * (vovp * vdse - 0.5 * vdse * vdse) * clm + leak;
-      const double i_chan = sg * flow * fwd;
-      const double i_open = kGoff * (draw - vs[L]);
-      const double openm = open[L];
-      out[L] = openm * i_open + (1.0 - openm) * i_chan;
-    }
-  };
-
-  gate_eval(0.0, id0.data());
-  gate_eval(kMosFdStep, gm.data());
-  gate_eval(-kMosFdStep, cur.data());
-  {
-    double* __restrict w_gm = gm.data();
-    const double* __restrict r_im = cur.data();
-    for (std::size_t L = 0; L < K; ++L) {
-      w_gm[L] = (w_gm[L] - r_im[L]) / (2.0 * kMosFdStep);
-    }
-  }
-  drain_eval(kMosFdStep, gds.data());
-  drain_eval(-kMosFdStep, cur.data());
-  {
-    double* __restrict w_gds = gds.data();
-    const double* __restrict r_im = cur.data();
-    for (std::size_t L = 0; L < K; ++L) {
-      w_gds[L] = (w_gds[L] - r_im[L]) / (2.0 * kMosFdStep);
-    }
   }
 }
 
@@ -691,8 +545,17 @@ void BatchSimulator::Impl::assemble_round() {
     }
   }
 
+  // MOSFETs: the shared level-1 kernel (esim/mosfet_model.hpp) over all
+  // K lanes of device mi at once, then the scalar path's stamp pattern.
   for (std::size_t mi = 0; mi < mos_nodes.size(); ++mi) {
-    mos_eval_device(mi);
+    const std::size_t o = mi * K;
+    const MosLanes dev{mp_sign.data() + o,   mp_beta.data() + o,
+                       mp_vt.data() + o,     mp_lambda.data() + o,
+                       mp_fullon.data() + o, mp_on.data() + o,
+                       mp_open.data() + o};
+    mosfet_lanes(K, dev, node_ptr(mos_nodes[mi].g), node_ptr(mos_nodes[mi].d),
+                 node_ptr(mos_nodes[mi].s), id0.data(), gm.data(),
+                 gds.data());
     if (mos_nodes[mi].d >= 0) {
       double* fr = f.data() + static_cast<std::size_t>(mos_nodes[mi].d) * K;
       for (std::size_t L = 0; L < K; ++L) fr[L] += id0[L];

@@ -8,8 +8,10 @@
 // structure-identical samples ("lanes") at once, with every per-unknown and
 // per-device quantity stored lane-contiguous (`slot * K + lane`), so
 //
-//  * level-1 MOSFET evaluation, residual accumulation and Newton updates
-//    are plain dense loops over the lane axis that auto-vectorize,
+//  * level-1 MOSFET evaluation (the scalar path's own analytic kernel,
+//    esim::mosfet_lanes, run over K lanes), residual accumulation and
+//    Newton updates are plain dense loops over the lane axis that
+//    auto-vectorize,
 //  * the Jacobian template memcpy covers all lanes at once, and
 //  * LU refactorization and the triangular solves replay ONE frozen
 //    symbolic factorization as blocked multi-RHS sweeps (esim::BatchLu).

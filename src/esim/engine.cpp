@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -206,18 +205,10 @@ void Simulator::set_postmortem_dir(std::string dir) {
 }
 
 bool Simulator::sparse_path_active() const {
-  switch (solver_mode_) {
-    case SolverMode::kDense:
-      return false;
-    case SolverMode::kSparse:
-    case SolverMode::kHierarchical:
-      // kHierarchical is a sparse-family mode: when partitioning declines
-      // it degrades to the flat sparse path, never to dense.
-      return true;
-    case SolverMode::kAuto:
-      break;
-  }
-  return unknown_count() >= kSparseAutoThreshold;
+  // Dense LU is the explicit reference path only.  kHierarchical is a
+  // sparse-family mode: when partitioning declines it degrades to the flat
+  // sparse path, never to dense.
+  return solver_mode_ != SolverMode::kDense;
 }
 
 bool Simulator::hierarchical_path_active() const {
@@ -851,10 +842,6 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double h,
       }
       return false;
     }
-    if (std::getenv("SKS_DEBUG_NR") != nullptr) {
-      std::fprintf(stderr, "  NR iter=%d t=%g h=%g max_dv=%g damp=%g\n", iter,
-                   t, h, max_dv, damping);
-    }
     check_residual = max_dv * damping < options.vtol;
   }
   ++stats_.newton_failures;
@@ -1281,16 +1268,6 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
       if (options.adaptive && h_try < dt_current) dt_current = h_try;
     }
     if (!ok) {
-      if (std::getenv("SKS_DEBUG_NR") != nullptr) {
-        std::fprintf(stderr, "FAILSTATE t=%.6g h=%.3g\n", t, h);
-        for (std::size_t i = 0; i < x_saved.size(); ++i) {
-          std::fprintf(stderr, "  x[%zu] = %.6g\n", i, x_saved[i]);
-        }
-        for (std::size_t ci = 0; ci < cap_i.size(); ++ci) {
-          std::fprintf(stderr, "  cap[%zu] v=%.6g i=%.6g\n", ci, cap_v[ci],
-                       cap_i[ci]);
-        }
-      }
       stats_.wall_seconds = wall.seconds();
       mirror_stats_to_registry(stats_);
       // Continuous-health counter: the step was abandoned with dt at the

@@ -6,17 +6,21 @@
 // and solves J dx = -F.
 //
 // Two linear-solver paths (see SolverMode):
-//  * dense — reference path: full Jacobian rebuild + dense LU with partial
-//    pivoting each iteration.  Kept for tiny circuits and as the golden
-//    implementation the sparse path is tested against.
-//  * sparse — a symbolic prepass (once per Simulator) records a stamp slot
-//    for every device terminal pair; per iteration the Jacobian starts from
-//    a memcpy of a cached template (constant resistor/vsource stamps plus
-//    the per-timestep capacitor companion conductances) and only the
-//    MOSFET gm/gds stamps are re-evaluated.  The system is solved with a
-//    fill-reducing sparse LU whose pivot order and fill pattern are reused
-//    across iterations (esim/sparse.hpp), falling back to a full
-//    re-pivoting factorization when a pivot degenerates.
+//  * sparse — the default at every circuit size.  A symbolic prepass (once
+//    per Simulator) records a stamp slot for every device terminal pair;
+//    per iteration the Jacobian starts from a memcpy of a cached template
+//    (constant resistor/vsource stamps plus the per-timestep capacitor
+//    companion conductances) and only the MOSFET gm/gds stamps are
+//    re-evaluated.  The system is solved with a fill-reducing sparse LU
+//    whose pivot order and fill pattern are reused across iterations
+//    (esim/sparse.hpp), falling back to a full re-pivoting factorization
+//    when a pivot degenerates.
+//  * dense — reference path only (SolverMode::kDense): full Jacobian
+//    rebuild + dense LU with partial pivoting each iteration.  Kept as the
+//    golden implementation the sparse path is tested against.
+//
+// Both paths stamp the analytic level-1 MOSFET partials of
+// esim/mosfet_model.hpp.
 //
 // DC operating point: plain Newton first, then gmin stepping, then source
 // stepping — the standard SPICE continuation ladder.
@@ -64,9 +68,10 @@ namespace sks::esim {
 // Per-run solver telemetry, accumulated by every public solve entry point
 // (dc_operating_point / dc_solution / run_transient) and exposed on the
 // result objects.  Counting is always on — the increments are integer adds
-// that vanish next to a dense LU — and the totals are mirrored into the
-// global obs registry (`esim.*` counters) when each run finishes, so
-// campaign layers can aggregate across runs they did not start themselves.
+// that vanish next to one Newton iteration's assembly and LU refactor —
+// and the totals are mirrored into the global obs registry (`esim.*`
+// counters) when each run finishes, so campaign layers can aggregate
+// across runs they did not start themselves.
 struct SolveStats {
   // Newton-Raphson.
   std::uint64_t newton_calls = 0;       // newton_solve() invocations
@@ -118,12 +123,13 @@ struct SolveStats {
 // non-fallback lane so batched and scalar runs report identically.
 void mirror_stats_to_registry(const SolveStats& stats);
 
-// Linear-solver selection.  kAuto picks sparse when the circuit has at
-// least Simulator::kSparseAutoThreshold unknowns and dense below it (tiny
-// systems fit in cache and a dense LU beats the sparse bookkeeping); at
-// kHierarchicalAutoThreshold unknowns and above it additionally tries the
-// partitioned Schur-complement path (esim/schur.hpp), which falls back to
-// flat sparse when the pattern has no exploitable linear-block structure.
+// Linear-solver selection.  kAuto picks flat sparse at every size (even on
+// the ~15-unknown sensor nets the frozen-pivot refactor beats a dense LU per
+// Newton iteration); at kHierarchicalAutoThreshold unknowns and above it
+// additionally tries the partitioned Schur-complement path (esim/schur.hpp),
+// which falls back to flat sparse when the pattern has no exploitable
+// linear-block structure.  kDense is the reference path, chosen only
+// explicitly.
 // The SKS_SOLVER environment variable ("dense" / "sparse" /
 // "hierarchical") overrides the automatic choice at Simulator
 // construction; an explicit set_solver_mode() call afterwards wins over
@@ -220,8 +226,6 @@ class Simulator {
   // so un-instrumented benches can report it without enabling obs.
   std::size_t schur_memory_bytes() const;
 
-  // kAuto switches to the sparse path at this many unknowns.
-  static constexpr std::size_t kSparseAutoThreshold = 24;
   // kAuto additionally attempts the hierarchical partition at this many
   // unknowns (large enough that every pre-existing mid-size bench keeps its
   // flat-sparse counters bit-identical).

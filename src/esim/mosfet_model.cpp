@@ -1,71 +1,22 @@
 #include "esim/mosfet_model.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace sks::esim {
-
-namespace {
-
-// Leakage conductance of an OFF channel.  Keeps the Jacobian non-singular
-// when a node is only reachable through cut-off devices (e.g. the paper's
-// "high impedance state keeping its high value").
-constexpr double kGoff = 1e-12;
-
-// Core NMOS-referred square law with vds >= 0 guaranteed by the caller.
-double nmos_forward_current(const MosParams& p, double vgs, double vds) {
-  const double vov = vgs - p.vt;
-  const double leak = kGoff * vds;
-  if (vov <= 0.0) return leak;
-  const double beta = p.beta();
-  const double clm = 1.0 + p.lambda * vds;
-  if (vds < vov) {
-    return beta * (vov * vds - 0.5 * vds * vds) * clm + leak;  // triode
-  }
-  return 0.5 * beta * vov * vov * clm + leak;  // saturation
-}
-
-}  // namespace
 
 double mosfet_current(const MosParams& params, MosFault fault, double vg,
                       double vd, double vs) {
-  if (fault == MosFault::kStuckOpen) return kGoff * (vd - vs);
-
-  // Fold PMOS onto the NMOS equations by mirroring all voltages; the
-  // resulting current mirrors back with the same sign factor.
-  const double sign = (params.type == MosType::kNmos) ? 1.0 : -1.0;
-  double vg_n = sign * vg;
-  double vd_n = sign * vd;
-  double vs_n = sign * vs;
-
-  // Symmetric device: when vds < 0 the physical source is the terminal we
-  // called drain; evaluate forward with the roles swapped and negate.
-  double flow = 1.0;
-  if (vd_n < vs_n) {
-    std::swap(vd_n, vs_n);
-    flow = -1.0;
-  }
-
-  double vgs = vg_n - vs_n;
-  if (fault == MosFault::kStuckOn) vgs = params.full_on_vgs;
-  const double vds = vd_n - vs_n;
-
-  return sign * flow * nmos_forward_current(params, vgs, vds);
+  return eval_mosfet(params, fault, vg, vd, vs).id;
 }
 
 MosEval eval_mosfet(const MosParams& params, MosFault fault, double vg,
                     double vd, double vs) {
+  const double sign = params.type == MosType::kNmos ? 1.0 : -1.0;
+  const double beta = params.beta();
+  const double on = fault == MosFault::kStuckOn ? 1.0 : 0.0;
+  const double open = fault == MosFault::kStuckOpen ? 1.0 : 0.0;
+  const MosLanes lane{&sign, &beta, &params.vt, &params.lambda,
+                      &params.full_on_vgs, &on, &open};
   MosEval r;
-  r.id = mosfet_current(params, fault, vg, vd, vs);
-  // Central differences; h chosen so the square law (quadratic) is resolved
-  // to ~1e-12 A accuracy around typical 0..5 V operating points.
-  constexpr double h = 1e-6;
-  r.gm = (mosfet_current(params, fault, vg + h, vd, vs) -
-          mosfet_current(params, fault, vg - h, vd, vs)) /
-         (2.0 * h);
-  r.gds = (mosfet_current(params, fault, vg, vd + h, vs) -
-           mosfet_current(params, fault, vg, vd - h, vs)) /
-          (2.0 * h);
+  mosfet_lanes(1, lane, &vg, &vd, &vs, &r.id, &r.gm, &r.gds);
   return r;
 }
 

@@ -7,7 +7,9 @@
 // documented in esim/batch.hpp.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "cell/technology.hpp"
 #include "esim/batch.hpp"
 #include "esim/engine.hpp"
+#include "esim/mosfet_model.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
@@ -287,6 +290,53 @@ TEST(BatchFallback, SingularLanesReportScalarFailureWithoutThrowing) {
     EXPECT_TRUE(outcomes[i].fell_back) << "lane " << i;
     EXPECT_FALSE(outcomes[i].simulated) << "lane " << i;
     EXPECT_EQ(outcomes[i].failure, scalar_message) << "lane " << i;
+  }
+}
+
+// The batch assembles every MOSFET through mosfet_lanes() over K lanes;
+// the scalar Simulator calls it through eval_mosfet() one device at a
+// time.  Mixed types, faults, parameters and drain/source orientations
+// must not leak between lanes: each lane's (id, gm, gds) is bit-identical
+// to its own scalar call.
+TEST(BatchKernel, KLaneMosfetCallMatchesKScalarCallsBitForBit) {
+  constexpr std::size_t K = 12;
+  std::vector<double> sign(K), beta(K), vt(K), lambda(K), full_on(K), on(K),
+      open(K), vg(K), vd(K), vs(K);
+  std::vector<MosParams> params(K);
+  std::vector<MosFault> faults(K);
+  util::Prng prng(7);
+  for (std::size_t L = 0; L < K; ++L) {
+    MosParams& p = params[L];
+    p.type = L % 2 == 0 ? MosType::kNmos : MosType::kPmos;
+    p.w = prng.uniform(1e-6, 6e-6);
+    p.vt = prng.uniform(0.6, 1.0);
+    p.lambda = prng.uniform(0.0, 0.05);
+    faults[L] = L % 3 == 0   ? MosFault::kNone
+                : L % 3 == 1 ? MosFault::kStuckOpen
+                             : MosFault::kStuckOn;
+    sign[L] = p.type == MosType::kNmos ? 1.0 : -1.0;
+    beta[L] = p.beta();
+    vt[L] = p.vt;
+    lambda[L] = p.lambda;
+    full_on[L] = p.full_on_vgs;
+    on[L] = faults[L] == MosFault::kStuckOn ? 1.0 : 0.0;
+    open[L] = faults[L] == MosFault::kStuckOpen ? 1.0 : 0.0;
+    // Both drain/source orderings occur across the lanes.
+    vg[L] = prng.uniform(-5.0, 5.0);
+    vd[L] = prng.uniform(-5.0, 5.0);
+    vs[L] = prng.uniform(-5.0, 5.0);
+  }
+  const MosLanes lanes{sign.data(),    beta.data(), vt.data(), lambda.data(),
+                       full_on.data(), on.data(),   open.data()};
+  std::vector<double> id(K), gm(K), gds(K);
+  mosfet_lanes(K, lanes, vg.data(), vd.data(), vs.data(), id.data(),
+               gm.data(), gds.data());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t L = 0; L < K; ++L) {
+    const MosEval e = eval_mosfet(params[L], faults[L], vg[L], vd[L], vs[L]);
+    EXPECT_EQ(bits(id[L]), bits(e.id)) << "lane " << L;
+    EXPECT_EQ(bits(gm[L]), bits(e.gm)) << "lane " << L;
+    EXPECT_EQ(bits(gds[L]), bits(e.gds)) << "lane " << L;
   }
 }
 

@@ -180,11 +180,11 @@ TEST(SparseEquivalence, SparseRunIsDeterministic) {
 
 TEST(SparseEquivalence, EnvVarSelectsPathAndExplicitModeWins) {
   ClockTreeOptions tree;
-  tree.levels = 2;  // 15 unknowns: below the kAuto threshold
+  tree.levels = 2;  // 15 unknowns: kAuto is sparse at every size
   const auto net = make_clock_tree(tree);
   {
     Simulator sim(net.circuit);
-    EXPECT_FALSE(sim.sparse_path_active());
+    EXPECT_TRUE(sim.sparse_path_active());
   }
   ::setenv("SKS_SOLVER", "sparse", 1);
   {
@@ -198,7 +198,7 @@ TEST(SparseEquivalence, EnvVarSelectsPathAndExplicitModeWins) {
   big.levels = 5;
   const auto net_big = make_clock_tree(big);
   Simulator sim(net_big.circuit);
-  EXPECT_TRUE(sim.sparse_path_active()) << "kAuto above the threshold";
+  EXPECT_TRUE(sim.sparse_path_active()) << "kAuto on a mid-size net";
 }
 
 // --- SolveWorkspace reuse (suite name is in the TSan ctest filter) ---

@@ -532,8 +532,8 @@ int run_netlist(const std::vector<std::string>& args) {
   sks::check(!netlist_path.empty(), "run: no netlist given");
 
   sks::esim::Simulator sim(sks::esim::parse_spice(read_file(netlist_path)));
-  // No --solver flag leaves the simulator's own selection (auto threshold
-  // or the SKS_SOLVER environment override) in force.
+  // No --solver flag leaves the simulator's own selection (kAuto or the
+  // SKS_SOLVER environment override) in force.
   if (!solver.empty()) sim.set_solver_mode(parse_solver_mode(solver));
   if (!postmortem_dir.empty()) sim.set_postmortem_dir(postmortem_dir);
   try {
