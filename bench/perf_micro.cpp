@@ -303,7 +303,7 @@ FixedWorkload fixed_workload_counters() {
                       plan);
   }
 
-  out.counters = obs::registry().counters();
+  out.counters = obs::registry().snapshot().counters;
 
   // Solver fast path on the largest bundled netlist: the same fixed
   // clock-tree transient once per solver mode, in its own counter window
@@ -321,7 +321,7 @@ FixedWorkload fixed_workload_counters() {
     (dense ? dense_wall : sparse_wall) = result.stats.wall_seconds;
     const std::string prefix =
         dense ? "clocktree_dense." : "clocktree_sparse.";
-    for (const auto& [name, value] : obs::registry().counters()) {
+    for (const auto& [name, value] : obs::registry().snapshot().counters) {
       if (name.rfind("esim.", 0) == 0) {
         out.counters.emplace_back(prefix + name, value);
       }
@@ -348,7 +348,7 @@ FixedWorkload fixed_workload_counters() {
                                 &mc_stats);
     (lanes == 1 ? mc_scalar_wall : mc_batch_wall) = mc_stats.wall_seconds;
     if (lanes != 1) {
-      for (const auto& [name, value] : obs::registry().counters()) {
+      for (const auto& [name, value] : obs::registry().snapshot().counters) {
         if (name.rfind("batch.", 0) == 0) {
           out.counters.emplace_back("mc_" + name, value);
         }
@@ -384,7 +384,7 @@ FixedWorkload fixed_workload_counters() {
       sim.set_solver_mode(mode);
       const auto result = sim.run_transient(bigtree_options);
       const std::string prefix = size_tag + (hier ? "_hier." : "_sparse.");
-      for (const auto& [name, value] : obs::registry().counters()) {
+      for (const auto& [name, value] : obs::registry().snapshot().counters) {
         if (name.rfind("esim.", 0) == 0 || name.rfind("schur.", 0) == 0) {
           out.counters.emplace_back(prefix + name, value);
         }

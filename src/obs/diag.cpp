@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -151,13 +150,10 @@ void record_solve_health(double final_residual, double pivot_growth,
   reg.gauge("lu.pivot_growth").set(pivot_growth);
   reg.gauge("lu.cond_est").set(cond_est);
   if (final_residual > 0.0 && std::isfinite(final_residual)) {
-    // util::Histogram is not internally synchronized; campaign workers can
-    // finish solves concurrently, so the fill is serialized here (once per
-    // solve — never per iteration).
-    static std::mutex mutex;
-    std::lock_guard<std::mutex> lock(mutex);
-    reg.histogram("nr.residual", -15.0, 5.0, 40)
-        .add(std::log10(final_residual));
+    // Campaign workers finish solves concurrently (once per solve, never
+    // per iteration), and a live exporter may snapshot meanwhile.
+    reg.histogram_add("nr.residual", -15.0, 5.0, 40,
+                      std::log10(final_residual));
   }
 }
 

@@ -16,8 +16,8 @@
 //
 // Concurrency: DiagRing is NOT thread-safe — it is per-Simulator state,
 // and Simulators are share-nothing across campaign workers.  The registry
-// mirroring helper serializes its histogram fill internally (see
-// record_solve_health), matching the util::Histogram contract.
+// mirroring helper fills its histogram through Registry::histogram_add,
+// which serializes the fill against other workers and live snapshots.
 #pragma once
 
 #include <cstddef>

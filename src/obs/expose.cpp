@@ -100,26 +100,27 @@ std::string prometheus_name(const std::string& name) {
 
 std::string render_prometheus(const Registry& reg, const Journal& j,
                               const Tracer& tracer) {
+  const Snapshot snap = reg.snapshot(j, tracer);
   std::string out;
   out.reserve(4096);
 
-  const std::uint64_t journal_dropped = j.dropped();
-  const std::uint64_t trace_dropped = tracer.dropped();
-  if (journal_dropped > 0 || trace_dropped > 0) {
+  const std::string journal_dropped = std::to_string(snap.journal.dropped);
+  const std::string trace_dropped = std::to_string(snap.trace.dropped);
+  if (snap.journal.dropped > 0 || snap.trace.dropped > 0) {
     // Non-standard but comment-legal warning line: scrapers that only
     // want a cheap "are we losing telemetry" check can grep for it
     // without parsing the gauge lines below.
-    out += "# DROPS journal=" + std::to_string(journal_dropped) +
-           " trace=" + std::to_string(trace_dropped) + "\n";
+    out += "# DROPS journal=" + journal_dropped + " trace=" + trace_dropped +
+           "\n";
   }
 
-  for (const auto& [name, value] : reg.counters()) {
+  for (const auto& [name, value] : snap.counters) {
     const std::string pname = prometheus_name(name);
     out += "# TYPE " + pname + " counter\n";
     out += pname + " " + std::to_string(value) + "\n";
   }
 
-  for (const auto& [name, value] : reg.gauges()) {
+  for (const auto& [name, value] : snap.gauges) {
     const std::string pname = prometheus_name(name);
     out += "# TYPE " + pname + " gauge\n";
     out += pname + " " + json_number(value) + "\n";
@@ -132,19 +133,18 @@ std::string render_prometheus(const Registry& reg, const Journal& j,
   out += "obs_run_phase " +
          std::to_string(static_cast<int>(run_phase())) + "\n";
   out += "# TYPE obs_journal_dropped gauge\n";
-  out += "obs_journal_dropped " + std::to_string(journal_dropped) + "\n";
+  out += "obs_journal_dropped " + journal_dropped + "\n";
   out += "# TYPE obs_trace_dropped gauge\n";
-  out += "obs_trace_dropped " + std::to_string(trace_dropped) + "\n";
+  out += "obs_trace_dropped " + trace_dropped + "\n";
 
   // Timers keep count/total/min/max only (no quantile state on the hot
   // path by design) — expose the summary skeleton Prometheus still
   // understands: _sum in seconds plus _count.
-  for (const auto& [name, stat] : reg.timers()) {
-    append_summary(out, prometheus_name(name), nullptr,
-                   stat->total_seconds(), stat->count());
+  for (const auto& [name, t] : snap.timers) {
+    append_summary(out, prometheus_name(name), nullptr, t.total_s(), t.count);
   }
 
-  for (const auto& [name, summary] : reg.streams()) {
+  for (const auto& [name, summary] : snap.streams) {
     append_summary(out, prometheus_name(name), &summary,
                    summary.mean() * static_cast<double>(summary.count()),
                    summary.count());

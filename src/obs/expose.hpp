@@ -1,8 +1,7 @@
 // Live metrics exposition: an embedded HTTP/1.0 listener that serves the
 // process-wide Registry in Prometheus text exposition format 0.0.4, plus
-// liveness/readiness probes, so a long-running bench or (per ROADMAP item
-// 1) the future sks-serve daemon can be scraped mid-run instead of only
-// inspected post-hoc through BENCH_*.json.
+// liveness/readiness probes, so a long-running bench can be scraped
+// mid-run instead of only inspected post-hoc through BENCH_*.json.
 //
 // Endpoints:
 //
@@ -29,10 +28,10 @@
 // hot path.
 //
 // Threading: one background thread, single-threaded accept loop, blocking
-// HTTP/1.0 request/response with Connection: close.  Registry/Journal/
-// Tracer snapshots are taken through their concurrency-safe snapshot APIs,
-// so scraping during a parallel campaign is safe (values are monotonic but
-// unordered relative to in-flight writers — same contract as Registry).
+// HTTP/1.0 request/response with Connection: close.  Each scrape renders
+// one Registry::snapshot, so scraping during a parallel campaign is safe
+// (values are monotonic but unordered relative to in-flight writers —
+// same contract as Registry).
 #pragma once
 
 #include <atomic>
@@ -68,10 +67,10 @@ class ScopedRunPhase {
   ScopedRunPhase& operator=(const ScopedRunPhase&) = delete;
 };
 
-// Render `reg` (plus journal/tracer drop totals and the current run phase)
-// as Prometheus text exposition format 0.0.4.  Pure function of its
-// snapshot — exposed separately from the listener so tests can pin the
-// format without sockets.
+// Render `reg.snapshot(j, tracer)` (the model the run report and the
+// timeline render too) plus the current run phase as Prometheus text
+// exposition format 0.0.4.  Exposed separately from the listener so tests
+// can pin the format without sockets.
 std::string render_prometheus(const Registry& reg, const Journal& j,
                               const Tracer& tracer);
 

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace sks::obs {
@@ -265,6 +267,78 @@ std::string json_number(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return buf;
+}
+
+namespace {
+
+// One `"name": {"<key>": <value>, ...}` section; rows failing `shown` are
+// skipped, and the section opens only at its first shown row.
+template <typename T, typename Shown, typename Value>
+void write_section(std::ostream& out, const char* sep, bool keep_empty,
+                   const char* name,
+                   const std::vector<std::pair<std::string, T>>& rows,
+                   Shown shown, Value value) {
+  bool open = false;
+  for (const auto& [key, row] : rows) {
+    if (!shown(row)) continue;
+    if (open) {
+      out << ", ";
+    } else {
+      out << sep << '"' << name << "\": {";
+      open = true;
+    }
+    out << '"' << json_escape(key) << "\": ";
+    value(row);
+  }
+  if (open) {
+    out << '}';
+  } else if (keep_empty) {
+    out << sep << '"' << name << "\": {}";
+  }
+}
+
+}  // namespace
+
+void write_json_sections(std::ostream& out, const Snapshot& snap,
+                         const char* sep, bool keep_empty) {
+  const auto all = [](const auto&) { return true; };
+  write_section(out, sep, keep_empty, "counters", snap.counters, all,
+                [&](std::uint64_t v) { out << v; });
+  write_section(out, sep, keep_empty, "gauges", snap.gauges, all,
+                [&](double v) { out << json_number(v); });
+  write_section(
+      out, sep, keep_empty, "timers", snap.timers,
+      [](const Snapshot::Timer& t) { return t.count > 0; },
+      [&](const Snapshot::Timer& t) {
+        out << "{\"count\": " << t.count
+            << ", \"total_s\": " << json_number(t.total_s())
+            << ", \"mean_s\": " << json_number(t.mean_s())
+            << ", \"min_s\": " << json_number(t.min_s())
+            << ", \"max_s\": " << json_number(t.max_s()) << "}";
+      });
+  write_section(out, sep, keep_empty, "histograms", snap.histograms, all,
+                [&](const Snapshot::Histogram& h) {
+                  out << "{\"lo\": " << json_number(h.lo)
+                      << ", \"hi\": " << json_number(h.hi)
+                      << ", \"counts\": [";
+                  for (std::size_t b = 0; b < h.counts.size(); ++b) {
+                    out << (b == 0 ? "" : ", ") << h.counts[b];
+                  }
+                  out << "]}";
+                });
+  write_section(
+      out, sep, keep_empty, "streams", snap.streams,
+      [](const stream::StreamSummary& s) { return s.count() > 0; },
+      [&](const stream::StreamSummary& s) {
+        out << "{\"count\": " << s.count()
+            << ", \"mean\": " << json_number(s.mean())
+            << ", \"stddev\": " << json_number(s.stddev())
+            << ", \"min\": " << json_number(s.min())
+            << ", \"max\": " << json_number(s.max())
+            << ", \"p50\": " << json_number(s.p50())
+            << ", \"p90\": " << json_number(s.p90())
+            << ", \"p99\": " << json_number(s.p99()) << "}";
+      });
 }
 
 }  // namespace sks::obs

@@ -8,11 +8,14 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace sks::obs {
+
+struct Snapshot;
 
 class Json {
  public:
@@ -60,5 +63,22 @@ std::string json_escape(const std::string& s);
 // Format a double as a JSON-legal number (NaN/inf clamp to null-safe 0,
 // integers print without exponent noise).
 std::string json_number(double v);
+
+// The one section schema of run reports (obs/report.hpp) and timeline
+// lines (obs/timeline.hpp): append the counters, gauges, timers,
+// histograms and streams sections of `snap`, each preceded by `sep`.
+//
+//   "counters": { "<name>": n, ... },
+//   "gauges":   { "<name>": x, ... },
+//   "timers":   { "<name>": { "count": n, "total_s": s, "mean_s": s,
+//                             "min_s": s, "max_s": s }, ... },
+//   "histograms": { "<name>": { "lo": x, "hi": x, "counts": [n, ...] }, ... },
+//   "streams":  { "<name>": { "count": n, "mean": x, "stddev": x, "min": x,
+//                             "max": x, "p50": x, "p90": x, "p99": x }, ... }
+//
+// Timers and streams that never fired are left out.  A section with no
+// rows is left out unless `keep_empty`.
+void write_json_sections(std::ostream& out, const Snapshot& snap,
+                         const char* sep, bool keep_empty);
 
 }  // namespace sks::obs

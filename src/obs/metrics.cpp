@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/journal.hpp"
+#include "obs/trace.hpp"
 
 namespace sks::obs {
 
@@ -114,8 +115,6 @@ util::Histogram& Registry::histogram(const std::string& name, double lo,
   }
   util::Histogram& existing = *it->second;
   if (existing.lo() != lo || existing.hi() != hi || existing.bins() != bins) {
-    // The first call fixed the binning; a conflicting re-request would
-    // silently clamp samples into the wrong bins, so make it visible.
     // The counter bump goes through the map directly — our mutex is not
     // recursive, so this->counter() would deadlock here.
     get_or_create(counters_, "obs.histogram_range_mismatch").inc();
@@ -133,6 +132,13 @@ util::Histogram& Registry::histogram(const std::string& name, double lo,
     }
   }
   return existing;
+}
+
+void Registry::histogram_add(const std::string& name, double lo, double hi,
+                             std::size_t bins, double x) {
+  util::Histogram& h = histogram(name, lo, hi, bins);
+  std::lock_guard<std::mutex> lock(mutex_);
+  h.add(x);
 }
 
 const Counter* Registry::find_counter(const std::string& name) const {
@@ -159,49 +165,48 @@ const StreamStat* Registry::find_stream(const std::string& name) const {
   return it == streams_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
+Snapshot Registry::snapshot(const Journal& j, const Tracer& tracer) const {
+  Snapshot snap;
+  // The buffer totals are read before the registry lock: the journal and
+  // tracer take their own mutexes, and no order between those and ours is
+  // established anywhere else.
+  snap.journal = {j.total_recorded(), j.dropped()};
+  snap.trace = {tracer.event_count(), tracer.dropped()};
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> Registry::gauges() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, const TimerStat*>> Registry::timers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, const TimerStat*>> out;
-  out.reserve(timers_.size());
-  for (const auto& [name, t] : timers_) out.emplace_back(name, t.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const util::Histogram*>>
-Registry::histograms() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, const util::Histogram*>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) out.emplace_back(name, h.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, stream::StreamSummary>> Registry::streams()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, stream::StreamSummary>> out;
-  out.reserve(streams_.size());
-  for (const auto& [name, s] : streams_) {
-    out.emplace_back(name, s->snapshot());
+  snap.counters.reserve(counters_.size());
+  for (const auto& [name, c] : counters_) {
+    snap.counters.emplace_back(name, c->value());
   }
-  return out;
+  snap.gauges.reserve(gauges_.size());
+  for (const auto& [name, g] : gauges_) {
+    snap.gauges.emplace_back(name, g->value());
+  }
+  snap.timers.reserve(timers_.size());
+  for (const auto& [name, t] : timers_) {
+    snap.timers.emplace_back(
+        name, Snapshot::Timer{t->count(), t->total_ns(), t->min_ns(),
+                              t->max_ns()});
+  }
+  snap.histograms.reserve(histograms_.size());
+  for (const auto& [name, h] : histograms_) {
+    Snapshot::Histogram row{h->lo(), h->hi(), {}};
+    row.counts.reserve(h->bins());
+    for (std::size_t i = 0; i < h->bins(); ++i) {
+      row.counts.push_back(h->bin_count(i));
+    }
+    snap.histograms.emplace_back(name, std::move(row));
+  }
+  // Each summary is copied under its stream's own mutex (registry, then
+  // stream: the order StreamStat::record keeps), so this is safe while
+  // workers record.
+  snap.streams.reserve(streams_.size());
+  for (const auto& [name, s] : streams_) {
+    snap.streams.emplace_back(name, s->snapshot());
+  }
+  return snap;
 }
+
+Snapshot Registry::snapshot() const { return snapshot(journal(), tracer()); }
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);

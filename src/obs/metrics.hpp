@@ -21,8 +21,8 @@
 // (writes never contend, `value()` merges on read); timer stats are plain
 // atomics; the registry maps are mutex-guarded on (cold) entry creation
 // and snapshotting.  Exception: `util::Histogram` entries are NOT
-// internally synchronized — they are only ever filled from analysis code
-// that runs outside the worker pool.
+// internally synchronized — fills from worker threads go through
+// Registry::histogram_add, which holds the mutex snapshot() reads under.
 //
 // Value semantics under concurrency: reads are monotonic but unordered
 // with respect to concurrent writers; exact totals are guaranteed once the
@@ -36,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/stream.hpp"
@@ -159,6 +160,41 @@ class StreamStat {
   stream::StreamSummary summary_;
 };
 
+class Journal;
+class Tracer;
+
+// Point-in-time copy of the registry: the one model every exporter
+// renders (obs::write_json_sections for reports and timeline lines,
+// render_prometheus for the exposition).  Rows are sorted by name.
+struct Snapshot {
+  struct Timer {
+    std::uint64_t count = 0, total_ns = 0, min_ns = 0, max_ns = 0;
+    double total_s() const { return static_cast<double>(total_ns) * 1e-9; }
+    double mean_s() const {
+      return count == 0 ? 0.0 : total_s() / static_cast<double>(count);
+    }
+    double min_s() const { return static_cast<double>(min_ns) * 1e-9; }
+    double max_s() const { return static_cast<double>(max_ns) * 1e-9; }
+  };
+  struct Histogram {
+    double lo = 0.0, hi = 0.0;
+    std::vector<std::uint64_t> counts;
+  };
+  // A bounded telemetry buffer: events recorded (journal) or held (trace
+  // buffers), and events lost to saturation.
+  struct Buffer {
+    std::uint64_t events = 0, dropped = 0;
+  };
+
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::pair<std::string, double>> gauges;
+  std::vector<std::pair<std::string, Timer>> timers;  // fired or not
+  std::vector<std::pair<std::string, Histogram>> histograms;
+  std::vector<std::pair<std::string, stream::StreamSummary>> streams;
+  Buffer journal;
+  Buffer trace;
+};
+
 class Registry {
  public:
   Counter& counter(const std::string& name);
@@ -172,6 +208,12 @@ class Registry {
   // instead of passing silently.
   util::Histogram& histogram(const std::string& name, double lo, double hi,
                              std::size_t bins);
+  // Add `x` to histogram `name` under the registry mutex, which snapshot()
+  // also holds.  util::Histogram is not synchronized, so a histogram
+  // filled while a live exporter (timeline, exposition) may read it must
+  // be filled through here.
+  void histogram_add(const std::string& name, double lo, double hi,
+                     std::size_t bins, double x);
 
   // nullptr when the entry does not exist (no entry is created).
   const Counter* find_counter(const std::string& name) const;
@@ -179,14 +221,13 @@ class Registry {
   const TimerStat* find_timer(const std::string& name) const;
   const StreamStat* find_stream(const std::string& name) const;
 
-  std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-  std::vector<std::pair<std::string, double>> gauges() const;
-  std::vector<std::pair<std::string, const TimerStat*>> timers() const;
-  std::vector<std::pair<std::string, const util::Histogram*>> histograms()
-      const;
-  // Stream summaries are returned by value: each copy is taken under its
-  // stream's own mutex, so the snapshot is safe while workers record.
-  std::vector<std::pair<std::string, stream::StreamSummary>> streams() const;
+  // Every entry's current value, copied under one acquisition of the
+  // registry mutex, plus the totals of `j` and `tracer` (read outside it).
+  // The run report, the timeline lines and the Prometheus exposition all
+  // render this one value.  The no-argument form takes the process-wide
+  // journal and tracer.
+  Snapshot snapshot(const Journal& j, const Tracer& tracer) const;
+  Snapshot snapshot() const;
 
   // Zero every value.  Entries (and references to them) survive.
   void reset();

@@ -1,6 +1,5 @@
 // Machine-readable run reports: one Report per run (a bench binary, a
-// fault campaign, a Monte-Carlo population) serialized as JSON (full
-// fidelity) or CSV (flat metric rows for spreadsheet diffing).
+// fault campaign, a Monte-Carlo population) serialized as JSON.
 //
 // JSON schema (schema_version 1, documented in EXPERIMENTS.md "Run
 // telemetry"):
@@ -9,14 +8,10 @@
 //     "report": "<name>", "schema_version": 1,
 //     "meta":     { "<key>": "<string>", ... },
 //     "values":   { "<key>": <number>, ... },
-//     "counters": { "<name>": <integer>, ... },
-//     "gauges":   { "<name>": <number>, ... },
-//     "timers":   { "<name>": { "count": n, "total_s": s, "mean_s": s,
-//                               "min_s": s, "max_s": s }, ... },
-//     "histograms": { "<name>": { "lo": x, "hi": x, "counts": [..] }, ... },
-//     "streams":  { "<name>": { "count": n, "mean": x, "stddev": x,
-//                               "min": x, "max": x, "p50": x, "p90": x,
-//                               "p99": x }, ... },
+//     "counters": ..., "gauges": ..., "timers": ..., "histograms": ...,
+//     "streams": ...     — the registry sections, in the one section
+//                          schema of obs::write_json_sections (json.hpp)
+//                          that timeline lines share,
 //     "journal":  { "recorded": n, "dropped": n,
 //                   "counts": { "<event_type>": n, ... },
 //                   "events": [ { "type": "...", "t": x, "value": x,
@@ -35,7 +30,6 @@
 // Sections are omitted when empty, so a counters-only report stays small.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,7 +59,8 @@ class Report {
 
   // Snapshot every metric currently in the registry / journal.  `max_events`
   // bounds the embedded journal tail; counts cover the whole (bounded)
-  // journal.
+  // journal.  The journal and trace totals come from capture_journal and
+  // capture_trace, in any order with capture_registry.
   void capture_registry(const Registry& reg = registry());
   void capture_journal(const Journal& j = journal(),
                        std::size_t max_events = 64);
@@ -80,46 +75,18 @@ class Report {
   const Profile& profile() const { return profile_; }
 
   std::string to_json() const;
-  std::string to_csv() const;
 
   // Write to `path`; throws sks::Error when the file cannot be written.
   void write_json(const std::string& path) const;
-  void write_csv(const std::string& path) const;
 
  private:
-  struct TimerRow {
-    std::string name;
-    std::uint64_t count = 0;
-    double total_s = 0.0, mean_s = 0.0, min_s = 0.0, max_s = 0.0;
-  };
-  struct HistogramRow {
-    std::string name;
-    double lo = 0.0, hi = 0.0;
-    std::vector<std::uint64_t> counts;
-  };
-  struct StreamRow {
-    std::string name;
-    std::size_t count = 0;
-    double mean = 0.0, stddev = 0.0, min = 0.0, max = 0.0;
-    double p50 = 0.0, p90 = 0.0, p99 = 0.0;
-  };
-
   std::string name_;
   std::vector<std::pair<std::string, std::string>> meta_;
   std::vector<std::pair<std::string, double>> values_;
-  std::vector<std::pair<std::string, std::uint64_t>> counters_;
-  std::vector<std::pair<std::string, double>> gauges_;
-  std::vector<TimerRow> timers_;
-  std::vector<HistogramRow> histograms_;
-  std::vector<StreamRow> streams_;
+  Snapshot snap_;
   bool have_trace_ = false;
-  std::uint64_t trace_events_ = 0;
-  std::uint64_t trace_dropped_ = 0;
-  bool have_profile_ = false;
   Profile profile_;
   bool have_journal_ = false;
-  std::size_t journal_recorded_ = 0;
-  std::size_t journal_dropped_ = 0;
   std::vector<std::pair<std::string, std::size_t>> journal_counts_;
   std::vector<Event> journal_tail_;
 };

@@ -4,11 +4,9 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace sks::obs {
 
@@ -237,61 +235,12 @@ std::uint64_t MetricsTimeline::snapshot_locked(const std::string& label,
     out << "}";
   }
 
-  const Registry& reg = registry();
-  {
-    const auto counters = reg.counters();
-    out << ", \"counters\": {";
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << '"' << json_escape(counters[i].first)
-          << "\": " << counters[i].second;
-    }
-    out << "}";
-  }
-  {
-    const auto gauges = reg.gauges();
-    out << ", \"gauges\": {";
-    for (std::size_t i = 0; i < gauges.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << '"' << json_escape(gauges[i].first)
-          << "\": " << json_number(gauges[i].second);
-    }
-    out << "}";
-  }
-  {
-    const auto timers = reg.timers();
-    bool first = true;
-    out << ", \"timers\": {";
-    for (const auto& [name, t] : timers) {
-      if (t->count() == 0) continue;
-      out << (first ? "" : ", ") << '"' << json_escape(name)
-          << "\": {\"count\": " << t->count()
-          << ", \"total_s\": " << json_number(t->total_seconds()) << "}";
-      first = false;
-    }
-    out << "}";
-  }
-  {
-    const auto streams = reg.streams();
-    bool first = true;
-    out << ", \"streams\": {";
-    for (const auto& [name, s] : streams) {
-      if (s.count() == 0) continue;
-      out << (first ? "" : ", ") << '"' << json_escape(name)
-          << "\": {\"count\": " << s.count()
-          << ", \"mean\": " << json_number(s.mean())
-          << ", \"stddev\": " << json_number(s.stddev())
-          << ", \"min\": " << json_number(s.min())
-          << ", \"max\": " << json_number(s.max())
-          << ", \"p50\": " << json_number(s.p50())
-          << ", \"p90\": " << json_number(s.p90())
-          << ", \"p99\": " << json_number(s.p99()) << "}";
-      first = false;
-    }
-    out << "}";
-  }
-  out << ", \"journal\": {\"recorded\": " << journal().total_recorded()
-      << ", \"dropped\": " << journal().dropped() << "}";
-  out << ", \"trace\": {\"events\": " << tracer().event_count()
-      << ", \"dropped\": " << tracer().dropped() << "}";
+  const Snapshot snap = registry().snapshot();
+  write_json_sections(out, snap, ", ", true);
+  out << ", \"journal\": {\"recorded\": " << snap.journal.events
+      << ", \"dropped\": " << snap.journal.dropped << "}";
+  out << ", \"trace\": {\"events\": " << snap.trace.events
+      << ", \"dropped\": " << snap.trace.dropped << "}";
   out << "}\n";
 
   out_ << out.str();

@@ -8,12 +8,14 @@
 //    ["progress": {"name": "...", "done": n, "total": n, "elapsed_s": x,
 //                  "rate_per_s": x, "recent_rate_per_s": x, "eta_s": x,
 //                  "partial": {"<key>": x, ...}},]
-//    "counters": {...}, "gauges": {...},
-//    "timers": {"<name>": {"count": n, "total_s": x}},
-//    "streams": {"<name>": {"count": n, "mean": x, "stddev": x, "min": x,
-//                           "max": x, "p50": x, "p90": x, "p99": x}},
+//    "counters": ..., "gauges": ..., "timers": ..., "histograms": ...,
+//    "streams": ...,
 //    "journal": {"recorded": n, "dropped": n},
 //    "trace": {"events": n, "dropped": n}}
+//
+// The registry sections follow the one section schema of run reports
+// (obs::write_json_sections in json.hpp), except that every section is
+// present even when empty.
 //
 // `seq` is strictly monotone within a process; the journal/trace blocks
 // surface the drop counters of every bounded buffer so silent saturation

@@ -4,6 +4,7 @@
 // threads with exact totals checked after the writers quiesce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <string>
@@ -182,6 +183,34 @@ TEST(ObsConcurrency, EnabledFlagToggledWhileTimersRun) {
   // TSan sees no data race and the stat stayed internally consistent.
   EXPECT_LE(stat.count(), static_cast<std::uint64_t>(kThreads) * 500);
   stat.reset();
+}
+
+TEST(ObsConcurrency, SnapshotWhileWorkersFillHistogram) {
+  // Live exporters snapshot while campaign workers fill a histogram (the
+  // nr.residual path); histogram_add shares the snapshot's mutex.
+  Registry reg;
+  std::atomic<bool> stop{false};
+  std::uint64_t seen = 0;
+  std::thread reader([&] {
+    while (!stop.load()) {
+      for (const auto& [name, h] : reg.snapshot().histograms) {
+        std::uint64_t total = 0;
+        for (const std::uint64_t c : h.counts) total += c;
+        seen = std::max(seen, total);
+      }
+    }
+  });
+  hammer(2000, [&](int i) {
+    reg.histogram_add("h", 0.0, 1.0, 8, static_cast<double>(i % 8) / 8.0);
+  });
+  stop.store(true);
+  reader.join();
+  const auto histograms = reg.snapshot().histograms;
+  ASSERT_EQ(histograms.size(), 1u);
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : histograms[0].second.counts) total += c;
+  EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * 2000);
+  EXPECT_LE(seen, total);
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(RegistryTest, FindDoesNotCreate) {
   EXPECT_EQ(reg.find_counter("nope"), nullptr);
   EXPECT_EQ(reg.find_gauge("nope"), nullptr);
   EXPECT_EQ(reg.find_timer("nope"), nullptr);
-  EXPECT_TRUE(reg.counters().empty());
+  EXPECT_TRUE(reg.snapshot().counters.empty());
   reg.counter("yes").inc();
   ASSERT_NE(reg.find_counter("yes"), nullptr);
   EXPECT_EQ(reg.find_counter("yes")->value(), 1u);
@@ -78,7 +78,7 @@ TEST(RegistryTest, SnapshotsAreSortedByName) {
   Registry reg;
   reg.counter("b").inc(2);
   reg.counter("a").inc(1);
-  const auto snap = reg.counters();
+  const auto snap = reg.snapshot().counters;
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].first, "a");
   EXPECT_EQ(snap[1].first, "b");

@@ -148,18 +148,6 @@ TEST(ReportTest, EmptySectionsAreOmitted) {
   EXPECT_FALSE(doc.has("journal"));
 }
 
-TEST(ReportTest, CsvHasOneRowPerMetric) {
-  Registry reg;
-  reg.counter("runs").inc(3);
-  Report report("unit");
-  report.set_value("answer", 42.0);
-  report.capture_registry(reg);
-  const std::string csv = report.to_csv();
-  EXPECT_NE(csv.find("section,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,runs,value,3"), std::string::npos);
-  EXPECT_NE(csv.find("value,answer,value,42"), std::string::npos);
-}
-
 // Acceptance check: a real (tiny) fault campaign produces a JSON report
 // that parses and carries the documented keys with sane values.
 TEST(ReportTest, CampaignRunReportMatchesSchema) {

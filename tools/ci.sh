@@ -91,16 +91,11 @@ SKS_REPORT=build-ci/tools/sks-report
 "$SKS_REPORT" print "$SMOKE_DIR/BENCH_fig2_waveforms.json" > /dev/null
 "$SKS_REPORT" diff "$SMOKE_DIR/BENCH_fig2_waveforms.json" \
     "$SMOKE_DIR/BENCH_perf_micro.json" > /dev/null
-"$SKS_REPORT" merge "$SMOKE_DIR/merged.json" \
-    "$SMOKE_DIR/BENCH_fig2_waveforms.json" \
-    "$SMOKE_DIR/BENCH_perf_micro.json"
-python3 -m json.tool "$SMOKE_DIR/merged.json" > /dev/null \
-  || { echo "invalid JSON: $SMOKE_DIR/merged.json" >&2; exit 1; }
 "$SKS_REPORT" trace "$SMOKE_DIR/journal_trace.json" \
     "$SMOKE_DIR/BENCH_fig2_waveforms.json"
 python3 -m json.tool "$SMOKE_DIR/journal_trace.json" > /dev/null \
   || { echo "invalid JSON: $SMOKE_DIR/journal_trace.json" >&2; exit 1; }
-echo "ok: sks-report print/diff/merge/trace"
+echo "ok: sks-report print/diff/trace"
 
 echo "=== performance attribution smoke check ==="
 # The traced fig2 run must embed a call-tree profile in its report and
@@ -233,7 +228,12 @@ grep -q "monotone" "$TL_DIR/timeline.log" \
 "$SKS_REPORT" timeline "$TL_DIR/fig5_timeline.jsonl" \
     "$TL_DIR/fig5_timeline.jsonl" > /dev/null \
   || { echo "sks-report timeline diff failed" >&2; exit 1; }
-"$SKS_REPORT" tail "$TL_DIR/fig5_timeline.jsonl" | grep -q "final" \
+# Captured to a file, not piped into `grep -q`: the tail view prints every
+# section, and under pipefail grep -q closing the pipe at its first match
+# would SIGPIPE sks-report mid-render.
+"$SKS_REPORT" tail "$TL_DIR/fig5_timeline.jsonl" > "$TL_DIR/tail.log" \
+  || { echo "sks-report tail failed" >&2; exit 1; }
+grep -q "final" "$TL_DIR/tail.log" \
   || { echo "sks-report tail did not render the final snapshot" >&2; exit 1; }
 echo "ok: timeline JSONL + sks-report timeline/tail"
 
@@ -246,7 +246,8 @@ echo "=== live metrics exposition smoke check ==="
 # after the report was captured).  SKS_EXPOSE=0 asks for an ephemeral
 # port; the bench prints (and flushes) the bound port, and
 # SKS_EXPOSE_LINGER_S holds the listener open after the report until the
-# final scrape lands.
+# next /metrics scrape lands — the post-run one, or the mid-run one when
+# the run finished first.
 EXPO_DIR=build-ci/expose
 rm -rf "$EXPO_DIR"
 mkdir -p "$EXPO_DIR"
@@ -263,12 +264,27 @@ done
 [ -n "$EXPO_PORT" ] || { echo "exposer never printed its port" >&2; \
                          kill "$EXPO_PID" 2>/dev/null; exit 1; }
 echo "exposer up on port $EXPO_PORT"
-# Mid-run scrape: full exposition syntax check + liveness probe.
-python3 - "$EXPO_PORT" <<'EOF'
+# Mid-run scrape: full exposition syntax check + liveness probe.  The
+# probes go first and /metrics last: a /metrics scrape that lands after the
+# run report ends the exposer's linger (bench_common.hpp expose_finish),
+# and a short run can finish before this script gets there.  The body is
+# saved for the post-run check below.
+python3 - "$EXPO_PORT" "$EXPO_DIR/mid_run_metrics.txt" <<'EOF'
 import re, sys, urllib.request, urllib.error
-port = sys.argv[1]
+port, saved = sys.argv[1], sys.argv[2]
+health = urllib.request.urlopen(
+    f"http://127.0.0.1:{port}/healthz", timeout=10)
+assert health.status == 200 and health.read() == b"ok\n"
+try:
+    ready = urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/readyz", timeout=10)
+    phase = ready.read().decode()
+except urllib.error.HTTPError as e:  # 503 while a phase is active
+    phase = e.read().decode()
+assert phase.startswith("phase="), phase
 body = urllib.request.urlopen(
     f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
+open(saved, "w").write(body)
 sample = re.compile(
     r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{quantile="0\.\d+"\})? \S+$')
 names = set()
@@ -281,16 +297,6 @@ for line in body.splitlines():
     float(value)  # must parse as a number
     names.add(name.split("{")[0])
 assert "obs_run_phase" in names and "obs_expose_scrapes" in names, names
-health = urllib.request.urlopen(
-    f"http://127.0.0.1:{port}/healthz", timeout=10)
-assert health.status == 200 and health.read() == b"ok\n"
-try:
-    ready = urllib.request.urlopen(
-        f"http://127.0.0.1:{port}/readyz", timeout=10)
-    phase = ready.read().decode()
-except urllib.error.HTTPError as e:  # 503 while a phase is active
-    phase = e.read().decode()
-assert phase.startswith("phase="), phase
 print(f"ok: mid-run /metrics ({len(names)} series), /healthz 200, "
       f"/readyz {phase.strip()}")
 EOF
@@ -302,11 +308,20 @@ done
 grep -q "run report written" "$EXPO_DIR/fig5_expose.log" \
   || { echo "fig5 run never wrote its report" >&2; \
        kill "$EXPO_PID" 2>/dev/null; exit 1; }
-python3 - "$EXPO_PORT" "$EXPO_DIR/BENCH_fig5_montecarlo.json" <<'EOF'
-import json, re, sys, urllib.request
-port, report_path = sys.argv[1], sys.argv[2]
-body = urllib.request.urlopen(
-    f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
+python3 - "$EXPO_PORT" "$EXPO_DIR/BENCH_fig5_montecarlo.json" \
+    "$EXPO_DIR/mid_run_metrics.txt" <<'EOF'
+import json, re, sys, urllib.error, urllib.request
+port, report_path, saved = sys.argv[1], sys.argv[2], sys.argv[3]
+try:
+    body = urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
+    source = "post-run scrape"
+except (urllib.error.URLError, ConnectionError):
+    # Refused: the linger is over, and only a /metrics scrape after the
+    # report ends it.  The mid-run scrape is the only other one, so it
+    # landed after the report and its saved body is the post-run view.
+    body = open(saved).read()
+    source = "mid-run scrape (landed after the report)"
 scraped = {}
 for line in body.splitlines():
     if line.startswith("#") or "{" in line:
@@ -322,8 +337,8 @@ for key, value in report["counters"].items():
     got = scraped.get(sanitize(key))
     if got is None or int(got) != int(value):
         mismatches.append(f"{key}: report={int(value)} scrape={got}")
-assert not mismatches, "post-run scrape != report: " + "; ".join(mismatches)
-print(f"ok: post-run scrape matches all "
+assert not mismatches, f"{source} != report: " + "; ".join(mismatches)
+print(f"ok: {source} matches all "
       f"{len(report['counters']) - 1} report counters exactly")
 EOF
 wait "$EXPO_PID" \

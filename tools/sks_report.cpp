@@ -2,8 +2,7 @@
 // telemetry layer (schema documented in obs/report.hpp and EXPERIMENTS.md).
 //
 //   sks-report print   REPORT... [--top N]  pretty-print reports
-//   sks-report diff    A B              values/counters/timers deltas
-//   sks-report merge   OUT A B...       sum shards into one schema-1 report
+//   sks-report diff    A B              section deltas of two reports
 //   sks-report trace   OUT REPORT...    journal events -> Chrome trace JSON
 //   sks-report flame   INPUT [flags]    top self-time spans + collapsed stacks
 //   sks-report attribute BASE CURRENT   rank span-tree wall-time deltas
@@ -17,10 +16,13 @@
 //   sks-report tail    FILE [--follow]  render the latest timeline snapshot
 //
 // `timeline` validates the file (every line parses, seq strictly monotone
-// — exit 1 otherwise) and prints the snapshot ladder plus the final stream
-// statistics; `tail` renders the newest snapshot as a live progress view
+// — exit 1 otherwise) and prints the snapshot ladder plus the final
+// snapshot; `tail` renders the newest snapshot as a live progress view
 // and with `--follow` keeps polling until the run writes its "final"
-// snapshot (schema in obs/timeline.hpp).
+// snapshot (schema in obs/timeline.hpp).  Reports and timeline lines carry
+// the same registry sections (obs::write_json_sections), so `print`,
+// `timeline` and `tail` share one section printer, and `diff` and
+// `timeline A B` one section differ.
 //
 // `trace` renders each report's journal section as instant events on its
 // own track, with simulation time mapped 1 ns -> 1 us so ns-scale
@@ -83,32 +85,120 @@ Json load_report(const std::string& path) {
 
 std::string fmt(double v) { return sks::obs::json_number(v); }
 
-// Flat name -> number view of one report section ("values", "counters").
-std::map<std::string, double> number_section(const Json& doc,
-                                             const std::string& section) {
+double opt_number(const Json& obj, const char* key, double fallback = 0.0) {
+  const Json* f = obj.find(key);
+  return f != nullptr && f->is_number() ? f->number() : fallback;
+}
+
+// Flat name -> number view of one section ("values", "counters").  Object
+// rows (timers, streams) flatten to "<name>.<field>" for each of `fields`.
+std::map<std::string, double> number_section(
+    const Json& doc, const std::string& section,
+    const std::vector<std::string>& fields = {}) {
   std::map<std::string, double> out;
   if (const Json* s = doc.find(section); s != nullptr && s->is_object()) {
     for (const auto& [key, value] : s->object()) {
       if (value.is_number()) out[key] = value.number();
+      for (const std::string& field : fields) {
+        const Json* f = value.find(field);
+        if (f != nullptr && f->is_number()) {
+          out[key + "." + field] = f->number();
+        }
+      }
     }
   }
   return out;
 }
 
-// name -> (count, total_s) of the timers section.
-std::map<std::string, std::pair<double, double>> timer_section(
-    const Json& doc) {
-  std::map<std::string, std::pair<double, double>> out;
-  if (const Json* s = doc.find("timers"); s != nullptr && s->is_object()) {
-    for (const auto& [key, value] : s->object()) {
-      if (!value.is_object()) continue;
-      const Json* count = value.find("count");
-      const Json* total = value.find("total_s");
-      out[key] = {count != nullptr ? count->number() : 0.0,
-                  total != nullptr ? total->number() : 0.0};
+// Key column sized to the longest name so long keys (the per-size
+// fixed.bigtree_* counter windows, the schur.* family) keep the value
+// columns aligned instead of overflowing a hard-coded width.
+template <typename Rows>
+int key_width(const Rows& rows, std::size_t min_width = 0) {
+  std::size_t width = min_width;
+  for (const auto& row : rows) width = std::max(width, row.first.size());
+  return static_cast<int>(width);
+}
+
+// The one section printer of `print` (a report) and `timeline`/`tail` (a
+// timeline line): both carry the registry sections of
+// obs::write_json_sections plus the journal and trace totals.  `top` > 0
+// truncates the timer table.
+void print_sections(const Json& doc, std::size_t top) {
+  for (const char* section : {"values", "counters", "gauges"}) {
+    const auto rows = number_section(doc, section);
+    if (rows.empty()) continue;
+    const int width = key_width(rows);
+    std::cout << "  " << section << ":\n";
+    for (const auto& [key, value] : rows) {
+      std::printf("    %-*s = %s\n", width, key.c_str(), fmt(value).c_str());
     }
   }
-  return out;
+  if (const Json* timers = doc.find("timers");
+      timers != nullptr && timers->is_object() && !timers->object().empty()) {
+    // Largest total first: the profile question is "where did time go".
+    std::vector<std::pair<std::string, const Json*>> rows;
+    for (const auto& [key, t] : timers->object()) rows.emplace_back(key, &t);
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const auto& a, const auto& b) {
+                       return opt_number(*a.second, "total_s") >
+                              opt_number(*b.second, "total_s");
+                     });
+    if (top > 0 && rows.size() > top) {
+      std::cout << "  timers (top " << top << " of " << rows.size()
+                << " by total):\n";
+      rows.resize(top);
+    } else {
+      std::cout << "  timers (by total):\n";
+    }
+    const int width = key_width(rows, 32);
+    for (const auto& [key, t] : rows) {
+      std::printf("    %-*s count=%-8.0f total=%.6fs\n", width, key.c_str(),
+                  opt_number(*t, "count"), opt_number(*t, "total_s"));
+    }
+  }
+  if (const Json* streams = doc.find("streams");
+      streams != nullptr && streams->is_object() &&
+      !streams->object().empty()) {
+    const int width = key_width(streams->object(), 24);
+    std::cout << "  streams:\n";
+    std::printf("    %-*s %8s %12s %12s %12s %12s %12s %12s\n", width, "name",
+                "count", "mean", "min", "p50", "p90", "p99", "max");
+    for (const auto& [key, s] : streams->object()) {
+      std::printf("    %-*s %8.0f", width, key.c_str(), opt_number(s, "count"));
+      for (const char* field : {"mean", "min", "p50", "p90", "p99", "max"}) {
+        std::printf(" %12s", fmt(opt_number(s, field)).c_str());
+      }
+      std::printf("\n");
+    }
+  }
+  const Json* journal = doc.find("journal");
+  const Json* trace = doc.find("trace");
+  if (journal != nullptr) {
+    std::cout << "  journal: recorded=" << fmt(opt_number(*journal, "recorded"))
+              << " dropped=" << fmt(opt_number(*journal, "dropped")) << "\n";
+    if (const Json* counts = journal->find("counts");
+        counts != nullptr && counts->is_object()) {
+      for (const auto& [key, value] : counts->object()) {
+        std::cout << "    " << key << " = " << fmt(value.number()) << "\n";
+      }
+    }
+  }
+  if (trace != nullptr) {
+    std::cout << "  trace: events=" << fmt(opt_number(*trace, "events"))
+              << " dropped=" << fmt(opt_number(*trace, "dropped")) << "\n";
+  }
+  // Saturation at a glance: any nonzero drop means a bounded buffer lost
+  // data and the sections above undercount.
+  const double journal_drops =
+      journal != nullptr ? opt_number(*journal, "dropped") : 0.0;
+  const double trace_drops =
+      trace != nullptr ? opt_number(*trace, "dropped") : 0.0;
+  if (journal_drops > 0.0 || trace_drops > 0.0) {
+    std::cout << "  DROPS: journal=" << fmt(journal_drops)
+              << " trace=" << fmt(trace_drops)
+              << " (bounded buffers saturated; raise their capacity)\n";
+  }
 }
 
 void print_report(const std::string& path, std::size_t top = 0) {
@@ -125,89 +215,7 @@ void print_report(const std::string& path, std::size_t top = 0) {
                 << "\n";
     }
   }
-  for (const char* section : {"values", "counters", "gauges"}) {
-    const auto rows = number_section(doc, section);
-    if (rows.empty()) continue;
-    // Key column sized to the longest name so long keys (the per-size
-    // fixed.bigtree_* counter windows, the schur.* family) keep the value
-    // column aligned instead of overflowing a hard-coded width.
-    std::size_t width = 0;
-    for (const auto& [key, value] : rows) {
-      (void)value;
-      width = std::max(width, key.size());
-    }
-    std::cout << "  " << section << ":\n";
-    for (const auto& [key, value] : rows) {
-      std::printf("    %-*s = %s\n", static_cast<int>(width), key.c_str(),
-                  fmt(value).c_str());
-    }
-  }
-  const auto timers = timer_section(doc);
-  if (!timers.empty()) {
-    // Largest total first: the profile question is "where did time go".
-    std::vector<std::pair<std::string, std::pair<double, double>>> rows(
-        timers.begin(), timers.end());
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      return a.second.second > b.second.second;
-    });
-    if (top > 0 && rows.size() > top) {
-      std::cout << "  timers (top " << top << " of " << rows.size()
-                << " by total):\n";
-      rows.resize(top);
-    } else {
-      std::cout << "  timers (by total):\n";
-    }
-    for (const auto& [key, ct] : rows) {
-      std::printf("    %-32s count=%-8.0f total=%.6fs\n", key.c_str(),
-                  ct.first, ct.second);
-    }
-  }
-  if (const Json* streams = doc.find("streams");
-      streams != nullptr && streams->is_object() &&
-      !streams->object().empty()) {
-    std::cout << "  streams:\n";
-    std::printf("    %-28s %8s %12s %12s %12s %12s\n", "name", "count",
-                "mean", "p50", "p90", "p99");
-    for (const auto& [key, s] : streams->object()) {
-      if (!s.is_object()) continue;
-      auto field = [&s](const char* name) {
-        const Json* f = s.find(name);
-        return f != nullptr && f->is_number() ? f->number() : 0.0;
-      };
-      std::printf("    %-28s %8.0f %12s %12s %12s %12s\n", key.c_str(),
-                  field("count"), fmt(field("mean")).c_str(),
-                  fmt(field("p50")).c_str(), fmt(field("p90")).c_str(),
-                  fmt(field("p99")).c_str());
-    }
-  }
-  if (const Json* journal = doc.find("journal"); journal != nullptr) {
-    std::cout << "  journal: recorded="
-              << fmt(journal->at("recorded").number())
-              << " dropped=" << fmt(journal->at("dropped").number()) << "\n";
-    if (const Json* counts = journal->find("counts")) {
-      for (const auto& [key, value] : counts->object()) {
-        std::cout << "    " << key << " = " << fmt(value.number()) << "\n";
-      }
-    }
-  }
-  if (const Json* trace = doc.find("trace"); trace != nullptr) {
-    std::cout << "  trace: events=" << fmt(trace->at("events").number())
-              << " dropped=" << fmt(trace->at("dropped").number()) << "\n";
-  }
-  // Saturation at a glance: any nonzero drop means a bounded buffer lost
-  // data and the sections above undercount.
-  double journal_drops = 0.0, trace_drops = 0.0;
-  if (const Json* journal = doc.find("journal")) {
-    journal_drops = journal->at("dropped").number();
-  }
-  if (const Json* trace = doc.find("trace")) {
-    trace_drops = trace->at("dropped").number();
-  }
-  if (journal_drops > 0.0 || trace_drops > 0.0) {
-    std::cout << "  DROPS: journal=" << fmt(journal_drops)
-              << " trace=" << fmt(trace_drops)
-              << " (bounded buffers saturated; raise their capacity)\n";
-  }
+  print_sections(doc, top);
 }
 
 void diff_section(const std::string& title,
@@ -240,18 +248,27 @@ void diff_section(const std::string& title,
   }
 }
 
+// The one section differ of `diff` (two reports) and `timeline A B` (two
+// final snapshots): values, counters, gauges, timer totals and stream
+// means/tails.
+void diff_sections(const Json& a, const Json& b) {
+  const std::pair<const char*, std::vector<std::string>> sections[] = {
+      {"values", {}},
+      {"counters", {}},
+      {"gauges", {}},
+      {"timers", {"count", "total_s"}},
+      {"streams", {"count", "mean", "p99"}}};
+  for (const auto& [section, fields] : sections) {
+    diff_section(section, number_section(a, section, fields),
+                 number_section(b, section, fields));
+  }
+}
+
 int diff_reports(const std::string& path_a, const std::string& path_b) {
   const Json a = load_report(path_a);
   const Json b = load_report(path_b);
   std::cout << "diff " << path_a << " -> " << path_b << "\n";
-  diff_section("values", number_section(a, "values"),
-               number_section(b, "values"));
-  diff_section("counters", number_section(a, "counters"),
-               number_section(b, "counters"));
-  std::map<std::string, double> ta, tb;
-  for (const auto& [key, ct] : timer_section(a)) ta[key + ".total_s"] = ct.second;
-  for (const auto& [key, ct] : timer_section(b)) tb[key + ".total_s"] = ct.second;
-  diff_section("timers", ta, tb);
+  diff_sections(a, b);
   return 0;
 }
 
@@ -261,88 +278,6 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
   out.flush();
   sks::check(out.good(), "write to '", path, "' failed");
-}
-
-// Merge semantics for sharded runs of the same workload: values, counters
-// and journal tallies are summed; timers sum count/total (min/mean/max are
-// recomputed or dropped — total is what sharded profiling compares).
-int merge_reports(const std::string& out_path,
-                  const std::vector<std::string>& inputs) {
-  std::map<std::string, double> values, counters;
-  std::map<std::string, std::pair<double, double>> timers;
-  double recorded = 0.0, dropped = 0.0;
-  std::map<std::string, double> journal_counts;
-  std::string name;
-  for (const std::string& path : inputs) {
-    const Json doc = load_report(path);
-    if (name.empty()) name = doc.at("report").str();
-    for (const auto& [key, v] : number_section(doc, "values")) values[key] += v;
-    for (const auto& [key, v] : number_section(doc, "counters")) {
-      counters[key] += v;
-    }
-    for (const auto& [key, ct] : timer_section(doc)) {
-      timers[key].first += ct.first;
-      timers[key].second += ct.second;
-    }
-    if (const Json* journal = doc.find("journal")) {
-      recorded += journal->at("recorded").number();
-      dropped += journal->at("dropped").number();
-      if (const Json* counts = journal->find("counts")) {
-        for (const auto& [key, v] : counts->object()) {
-          journal_counts[key] += v.number();
-        }
-      }
-    }
-  }
-
-  std::ostringstream out;
-  out << "{\n  \"report\": \"" << sks::obs::json_escape(name)
-      << "\",\n  \"schema_version\": 1,\n  \"meta\": {\"merged_from\": \""
-      << inputs.size() << " reports\"}";
-  auto emit_map = [&out](const char* section,
-                         const std::map<std::string, double>& rows) {
-    if (rows.empty()) return;
-    out << ",\n  \"" << section << "\": {";
-    bool first = true;
-    for (const auto& [key, v] : rows) {
-      out << (first ? "" : ", ") << '"' << sks::obs::json_escape(key)
-          << "\": " << fmt(v);
-      first = false;
-    }
-    out << "}";
-  };
-  emit_map("values", values);
-  emit_map("counters", counters);
-  if (!timers.empty()) {
-    out << ",\n  \"timers\": {";
-    bool first = true;
-    for (const auto& [key, ct] : timers) {
-      const double mean = ct.first > 0.0 ? ct.second / ct.first : 0.0;
-      out << (first ? "" : ", ") << '"' << sks::obs::json_escape(key)
-          << "\": {\"count\": " << fmt(ct.first)
-          << ", \"total_s\": " << fmt(ct.second)
-          << ", \"mean_s\": " << fmt(mean) << ", \"min_s\": 0, \"max_s\": "
-          << fmt(ct.second) << "}";
-      first = false;
-    }
-    out << "}";
-  }
-  if (recorded > 0.0 || !journal_counts.empty()) {
-    out << ",\n  \"journal\": {\"recorded\": " << fmt(recorded)
-        << ", \"dropped\": " << fmt(dropped) << ", \"counts\": {";
-    bool first = true;
-    for (const auto& [key, v] : journal_counts) {
-      out << (first ? "" : ", ") << '"' << sks::obs::json_escape(key)
-          << "\": " << fmt(v);
-      first = false;
-    }
-    out << "}, \"events\": []}";
-  }
-  out << "\n}\n";
-  write_file(out_path, out.str());
-  std::cout << "merged " << inputs.size() << " reports into " << out_path
-            << "\n";
-  return 0;
 }
 
 // Journal section -> Chrome trace instant events, one track per report.
@@ -590,31 +525,6 @@ std::vector<Json> load_timeline(const std::string& path) {
   return out;
 }
 
-double opt_number(const Json& obj, const char* key, double fallback = 0.0) {
-  const Json* f = obj.find(key);
-  return f != nullptr && f->is_number() ? f->number() : fallback;
-}
-
-void print_stream_table(const Json& snap, const char* indent) {
-  const Json* streams = snap.find("streams");
-  if (streams == nullptr || !streams->is_object() ||
-      streams->object().empty()) {
-    return;
-  }
-  std::printf("%s%-24s %8s %12s %12s %12s %12s %12s\n", indent, "stream",
-              "count", "mean", "min", "p50", "p99", "max");
-  for (const auto& [key, s] : streams->object()) {
-    if (!s.is_object()) continue;
-    std::printf("%s%-24s %8.0f %12s %12s %12s %12s %12s\n", indent,
-                key.c_str(), opt_number(s, "count"),
-                fmt(opt_number(s, "mean")).c_str(),
-                fmt(opt_number(s, "min")).c_str(),
-                fmt(opt_number(s, "p50")).c_str(),
-                fmt(opt_number(s, "p99")).c_str(),
-                fmt(opt_number(s, "max")).c_str());
-  }
-}
-
 // One ladder row per snapshot: seq, label, wall clock, progress and the
 // drop counters (so saturation mid-run is visible in the summary).
 void print_timeline_row(const Json& snap) {
@@ -663,27 +573,13 @@ int summarize_timeline(const std::string& path) {
       print_timeline_row(snaps[i]);
     }
   }
-  std::cout << "final snapshot streams:\n";
-  print_stream_table(last, "  ");
-  double journal_drops = 0.0, trace_drops = 0.0;
-  if (const Json* j = last.find("journal")) {
-    journal_drops = opt_number(*j, "dropped");
-  }
-  if (const Json* t = last.find("trace")) trace_drops = opt_number(*t, "dropped");
-  if (journal_drops > 0.0 || trace_drops > 0.0) {
-    std::cout << "DROPS: journal=" << fmt(journal_drops)
-              << " trace=" << fmt(trace_drops) << "\n";
-  }
+  std::cout << "final snapshot:\n";
+  print_sections(last, 0);
   return 0;
 }
 
-std::map<std::string, double> snapshot_section(const Json& snap,
-                                               const std::string& section) {
-  return number_section(snap, section);
-}
-
-// Two timelines: diff their FINAL snapshots (counters, gauges, stream
-// means) — "did the overnight run end in the same place as yesterday's".
+// Two timelines: diff their FINAL snapshots — "did the overnight run end
+// in the same place as yesterday's".
 int diff_timelines(const std::string& path_a, const std::string& path_b) {
   const std::vector<Json> a = load_timeline(path_a);
   const std::vector<Json> b = load_timeline(path_b);
@@ -691,23 +587,7 @@ int diff_timelines(const std::string& path_a, const std::string& path_b) {
   sks::check(!b.empty(), path_b, ": no snapshots");
   std::cout << "timeline diff (final snapshots) " << path_a << " -> "
             << path_b << "\n";
-  diff_section("counters", snapshot_section(a.back(), "counters"),
-               snapshot_section(b.back(), "counters"));
-  diff_section("gauges", snapshot_section(a.back(), "gauges"),
-               snapshot_section(b.back(), "gauges"));
-  auto stream_means = [](const Json& snap) {
-    std::map<std::string, double> out;
-    if (const Json* streams = snap.find("streams");
-        streams != nullptr && streams->is_object()) {
-      for (const auto& [key, s] : streams->object()) {
-        if (!s.is_object()) continue;
-        out[key + ".mean"] = opt_number(s, "mean");
-        out[key + ".p99"] = opt_number(s, "p99");
-      }
-    }
-    return out;
-  };
-  diff_section("streams", stream_means(a.back()), stream_means(b.back()));
+  diff_sections(a.back(), b.back());
   return 0;
 }
 
@@ -747,16 +627,7 @@ void render_tail_snapshot(const Json& snap, std::size_t total_snapshots) {
       std::cout << "\n";
     }
   }
-  print_stream_table(snap, "  ");
-  double journal_drops = 0.0, trace_drops = 0.0;
-  if (const Json* j = snap.find("journal")) {
-    journal_drops = opt_number(*j, "dropped");
-  }
-  if (const Json* t = snap.find("trace")) trace_drops = opt_number(*t, "dropped");
-  if (journal_drops > 0.0 || trace_drops > 0.0) {
-    std::cout << "  DROPS: journal=" << fmt(journal_drops)
-              << " trace=" << fmt(trace_drops) << "\n";
-  }
+  print_sections(snap, 0);
 }
 
 int tail_timeline(const std::string& path, bool follow) {
@@ -1309,7 +1180,6 @@ int usage() {
   std::cerr << "usage:\n"
                "  sks-report print   REPORT.json... [--top N]\n"
                "  sks-report diff    A.json B.json\n"
-               "  sks-report merge   OUT.json A.json B.json...\n"
                "  sks-report trace   OUT.json REPORT.json...\n"
                "  sks-report flame   REPORT.json|TRACE.json [--top N] "
                "[--collapsed OUT.txt]\n"
@@ -1355,9 +1225,6 @@ int main(int argc, char** argv) {
     }
     if (command == "diff" && paths.size() == 2) {
       return diff_reports(paths[0], paths[1]);
-    }
-    if (command == "merge" && paths.size() >= 2) {
-      return merge_reports(paths[0], {paths.begin() + 1, paths.end()});
     }
     if (command == "trace" && paths.size() >= 2) {
       return journal_to_trace(paths[0], {paths.begin() + 1, paths.end()});
